@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -497,7 +498,18 @@ def _workloads_from(value: object) -> Tuple[WorkloadSpec, ...]:
 
 
 def _coerce(raw: object, current: object, key: str) -> object:
-    """Coerce an override value to the type of the field it replaces."""
+    """Coerce an override value to the type of the field it replaces.
+
+    Non-finite numbers (``nan``, ``inf``) are rejected: no scenario field
+    models a quantity that can take them.
+    """
+    value = _coerce_type(raw, current, key)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"invalid value for {key!r}: expected a finite number, got {value}")
+    return value
+
+
+def _coerce_type(raw: object, current: object, key: str) -> object:
     if not isinstance(raw, str):
         if isinstance(current, bool) or isinstance(raw, bool):
             return raw

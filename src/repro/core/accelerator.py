@@ -26,11 +26,11 @@ Figs. 15-17 of the paper:
 
 from __future__ import annotations
 
-import copy
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Union
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Union
 
 from repro.core.distribution import DistributionPlan, ExecutionScoreModel, WorkloadDistributor
 from repro.core.intra_vault import IntraVaultDistributor
@@ -67,22 +67,47 @@ class DesignPoint(str, Enum):
         return self.value
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoutingComparison:
     """Routing-procedure execution result for one design point (Fig. 15/16).
 
     ``design`` is usually a :class:`DesignPoint` member but may be any
     registry key when a custom
     :class:`~repro.engine.strategies.DesignPointStrategy` produced the result.
+
+    Results are immutable, so the memo layers share one instance between all
+    callers; derive a variant with :func:`dataclasses.replace`.  The
+    component breakdowns are read-only views of private copies.
     """
 
     design: Union[DesignPoint, str]
     benchmark: str
     time_seconds: float
     energy_joules: float
-    time_components: Dict[str, float] = field(default_factory=dict)
-    energy_components: Dict[str, float] = field(default_factory=dict)
+    time_components: Mapping[str, float] = field(default_factory=dict)
+    energy_components: Mapping[str, float] = field(default_factory=dict)
     dimension: Optional[Dimension] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "time_components", MappingProxyType(dict(self.time_components)))
+        object.__setattr__(
+            self, "energy_components", MappingProxyType(dict(self.energy_components))
+        )
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled; rebuild through the constructor.
+        return (
+            type(self),
+            (
+                self.design,
+                self.benchmark,
+                self.time_seconds,
+                self.energy_joules,
+                dict(self.time_components),
+                dict(self.energy_components),
+                self.dimension,
+            ),
+        )
 
     def speedup_over(self, other: "RoutingComparison") -> float:
         """Speedup of this design over ``other``."""
@@ -97,9 +122,12 @@ class RoutingComparison:
         return 1.0 - self.energy_joules / other.energy_joules
 
 
-@dataclass
+@dataclass(frozen=True)
 class EndToEndComparison:
-    """Whole-inference execution result for one design point (Fig. 17)."""
+    """Whole-inference execution result for one design point (Fig. 17).
+
+    Immutable like :class:`RoutingComparison`.
+    """
 
     design: Union[DesignPoint, str]
     benchmark: str
@@ -179,9 +207,13 @@ class PIMCapsNet:
         # Memoized simulation results.  The model is immutable in practice,
         # so every (kind, design) simulation is deterministic and can be
         # cached per instance; ``clear_cache`` resets it after a manual
-        # attribute mutation.  The RLock makes the cache safe under the
-        # engine's thread pool (reentrant because end-to-end strategies call
-        # back into ``simulate_routing``).
+        # attribute mutation.  Results are frozen, so a hit returns the
+        # stored instance itself.  The memo also deduplicates the nested
+        # ``simulate_routing(PIM_CAPSNET)`` that several end-to-end
+        # strategies share, and ``simulations_executed`` counts its misses.
+        # The RLock makes the cache safe under the engine's thread pool
+        # (reentrant because end-to-end strategies call back into
+        # ``simulate_routing``).
         self._simulation_lock = threading.RLock()
         self._result_cache: Dict[tuple, object] = {}
         self._host_stage_cache: Optional[Dict[str, float]] = None
@@ -217,10 +249,6 @@ class PIMCapsNet:
                 self._host_stage_cache = {"time": time, "flops": flops, "traffic": traffic}
             return dict(self._host_stage_cache)
 
-    # Backwards-compatible aliases for the pre-engine private helpers.
-    _hmc_device = hmc_device
-    _host_stage = host_stage
-
     def clear_cache(self) -> None:
         """Drop memoized simulation results (after mutating model attributes)."""
         with self._simulation_lock:
@@ -254,18 +282,14 @@ class PIMCapsNet:
             cached = self._result_cache.get(key)
             if cached is not None:
                 self.cache_hits += 1
-                # Every caller gets a private copy: the pre-engine code
-                # returned fresh objects per call, so consumers are free to
-                # mutate results in place without corrupting other
-                # experiments reading the same cache.
-                return copy.deepcopy(cached)
+                return cached
             strategy = get_strategy(design)
             self.simulations_executed += 1
             if kind == "routing":
                 result = strategy.simulate_routing(self, design)
             else:
                 result = strategy.simulate_end_to_end(self, design)
-            self._result_cache[key] = copy.deepcopy(result)
+            self._result_cache[key] = result
             return result
 
     # ------------------------------------------------------------------ conveniences
@@ -294,9 +318,3 @@ class PIMCapsNet:
         ]
         return {design: self.simulate_end_to_end(design) for design in designs}
 
-
-def _dense_operation_mix(flops: float):
-    """Deprecated alias of :func:`repro.engine.design_points.dense_operation_mix`."""
-    from repro.engine.design_points import dense_operation_mix
-
-    return dense_operation_mix(flops)

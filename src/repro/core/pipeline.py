@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import List
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineTiming:
-    """Latency of processing ``num_batches`` batch groups.
+    """Latency of processing ``num_batches`` batch groups (immutable).
 
     Attributes:
         host_stage_time: per-batch host stage time (after contention).

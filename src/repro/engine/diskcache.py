@@ -46,6 +46,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -142,6 +143,41 @@ def default_cache_dir() -> Path:
 def canonical_digest(payload: object) -> str:
     """SHA-256 hex digest of a JSON-serializable payload (sorted keys)."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value: object) -> str:
+    """``json.dumps(value)`` for the scalar types an entry key holds."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def entry_digest(key: dict) -> str:
+    """``canonical_digest(key)`` of one :meth:`SimulationCache.entry_key` payload.
+
+    Writes the same sorted-key canonical JSON text field by field instead of
+    running the generic encoder, so the digest (and every existing shard)
+    stays byte-identical at about half the per-lookup cost.
+    """
+    text = (
+        f'{{"design":{_json_string(key["design"])},'
+        f'"force_dimension":{_json_scalar(key["force_dimension"])},'
+        f'"kind":{_json_string(key["kind"])},'
+        f'"pe_frequency_mhz":{_json_scalar(key["pe_frequency_mhz"])},'
+        f'"scenario":{_json_string(key["scenario"])},'
+        f'"schema":{_json_scalar(key["schema"])},'
+        f'"workload":{_json_string(key["workload"])}}}'
+    )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -314,7 +350,7 @@ class SimulationCache:
             scenario, benchmark, kind, design, pe_frequency_mhz, force_dimension
         )
         shard = self._shard(key["scenario"])
-        entry = shard.get(canonical_digest(key))
+        entry = shard.get(entry_digest(key))
         try:
             if entry is None or entry.get("key") != key:
                 raise ValueError("missing or mismatched cache entry")
@@ -348,7 +384,7 @@ class SimulationCache:
         )
         with self._lock:
             shard = self._shard(key["scenario"])
-            shard[canonical_digest(key)] = {"key": key, "result": payload}
+            shard[entry_digest(key)] = {"key": key, "result": payload}
             self._dirty[key["scenario"]] = True
         return True
 
@@ -381,7 +417,7 @@ class SimulationCache:
         for scenario_hash, entries in grouped.items():
             shard = self._shard(scenario_hash)
             for index, key in entries:
-                entry = shard.get(canonical_digest(key))
+                entry = shard.get(entry_digest(key))
                 try:
                     if entry is None or entry.get("key") != key:
                         raise ValueError("missing or mismatched cache entry")
@@ -411,7 +447,7 @@ class SimulationCache:
                 scenario, benchmark, kind, design, pe, dim = self._split_request(request)
                 key = self.entry_key(scenario, benchmark, kind, design, pe, dim)
                 shard = self._shard(key["scenario"])
-                shard[canonical_digest(key)] = {"key": key, "result": payload}
+                shard[entry_digest(key)] = {"key": key, "result": payload}
                 self._dirty[key["scenario"]] = True
                 stored += 1
         return stored

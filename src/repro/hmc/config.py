@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,10 @@ class HMCConfig:
     pe_frequency_mhz: float = 312.5
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value}")
         if self.num_vaults < 1 or self.banks_per_vault < 1 or self.pes_per_vault < 1:
             raise ValueError("vault/bank/PE counts must be positive")
         if self.block_bytes < 1 or self.max_block_bytes < self.block_bytes:
@@ -47,7 +52,7 @@ class HMCConfig:
         if min(self.external_bandwidth_gbs, self.internal_bandwidth_gbs) <= 0:
             raise ValueError("bandwidths must be positive")
         if self.pe_frequency_mhz <= 0:
-            raise ValueError("PE frequency must be positive")
+            raise ValueError("pe_frequency_mhz must be positive")
 
     # -- derived quantities ----------------------------------------------------
 
@@ -95,12 +100,8 @@ class HMCConfig:
 
     def with_pe_frequency(self, frequency_mhz: float) -> "HMCConfig":
         """Return a copy with a different PE frequency (Fig. 18 sweeps)."""
-        if frequency_mhz <= 0:
-            raise ValueError("frequency must be positive")
         return replace(self, pe_frequency_mhz=frequency_mhz)
 
     def with_pes_per_vault(self, pes: int) -> "HMCConfig":
         """Return a copy with a different PE count per vault."""
-        if pes < 1:
-            raise ValueError("pes must be positive")
         return replace(self, pes_per_vault=pes)

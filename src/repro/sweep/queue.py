@@ -48,6 +48,7 @@ sweep that already visited its scenario.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import socket
@@ -442,7 +443,13 @@ class _ShardQueue:
             "start": start,
             "stop": stop,
             "worker": self.worker_id,
-            "outcomes": outcomes,
+            "outcomes": [
+                {
+                    **outcome,
+                    "cells": [dataclasses.asdict(cell) for cell in outcome["cells"]],
+                }
+                for outcome in outcomes
+            ],
         }
         _atomic_write_json(self.done_path(shard), payload, fault="queue.done.publish")
         return payload

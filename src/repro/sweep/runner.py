@@ -7,8 +7,8 @@
   (:meth:`SweepSpec.scenario_for`),
 * points execute serially, over a thread pool, or over a
   ``ProcessPoolExecutor`` -- scenarios cross the process boundary as plain
-  JSON dictionaries and workers send back plain metric dictionaries, so the
-  process path needs no custom pickling.  The simulations are pure-Python
+  JSON dictionaries and workers send back frozen :class:`SweepCell` lists, so
+  the process path needs no custom pickling.  The simulations are pure-Python
   analytical models (GIL-bound), which is exactly why processes beat the
   thread pool on cold multi-point sweeps; ``executor="auto"`` picks processes
   whenever more than one job is requested.  (The process path relies on the
@@ -40,7 +40,7 @@ from repro.core.accelerator import DesignPoint
 from repro.engine.context import CacheStats, SimulationContext, default_worker_count
 from repro.engine.diskcache import CACHE_SCHEMA_VERSION, SimulationCache
 from repro.faults import point as fault_point
-from repro.sweep.spec import SweepSpec, _format_value
+from repro.sweep.spec import SweepCell, SweepSpec, _format_value
 from repro.sweep.vectorized import VERIFY_MODES, evaluate_grid, vectorization_blocker
 
 #: Executor modes accepted by :class:`SweepRunner`.
@@ -52,32 +52,6 @@ EXECUTORS = ("auto", "process", "thread", "serial")
 #: batched path (erroring with the blocker reason when ineligible) and
 #: ``"scalar"`` always evaluates point by point.
 BACKENDS = ("auto", "vectorized", "scalar")
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One ``(grid point, benchmark, design)`` measurement."""
-
-    benchmark: str
-    design: str
-    time_seconds: float
-    energy_joules: float
-    baseline_time_seconds: float
-    baseline_energy_joules: float
-
-    @property
-    def speedup(self) -> float:
-        """Speedup of the design over the GPU baseline."""
-        if self.time_seconds <= 0:
-            return float("inf")
-        return self.baseline_time_seconds / self.time_seconds
-
-    @property
-    def energy_saving(self) -> float:
-        """Fractional energy saving of the design over the GPU baseline."""
-        if self.baseline_energy_joules <= 0:
-            return 0.0
-        return 1.0 - self.energy_joules / self.baseline_energy_joules
 
 
 @dataclass
@@ -357,7 +331,7 @@ class SweepRunner:
             jobs=self.jobs,
         )
         for point, outcome in zip(points, outcomes):
-            point.cells = [SweepCell(**cell) for cell in outcome["cells"]]
+            point.cells = outcome["cells"]
             result.simulations_executed += outcome["simulations"]
             result.cache.hits += outcome["disk_hits"]
             result.cache.misses += outcome["disk_misses"]
@@ -428,7 +402,7 @@ class SweepRunner:
             jobs=self.jobs,
         )
         for point, outcome in zip(points, outcomes):
-            point.cells = [SweepCell(**cell) for cell in outcome["cells"]]
+            point.cells = outcome["cells"]
             result.simulations_executed += outcome["simulations"]
             result.cache.hits += outcome["disk_hits"]
             result.cache.misses += outcome["disk_misses"]
@@ -471,7 +445,7 @@ def _execute(payloads: List[dict], mode: str, jobs: int):
 
 
 def _execute_point(payload: Mapping[str, object]) -> dict:
-    """Execute one grid point; plain dicts in, plain dicts out (picklable)."""
+    """Execute one grid point; a plain dict in, its cells and counters out (picklable)."""
     fault_point("sweep.point.execute")
     scenario = Scenario.from_dict(payload["scenario"])  # type: ignore[arg-type]
     cache_dir = payload["cache_dir"]
@@ -483,20 +457,20 @@ def _execute_point(payload: Mapping[str, object]) -> dict:
     context = SimulationContext(max_workers=1, scenario=scenario, disk_cache=cache)
     benchmarks = context.select_benchmarks(payload["benchmarks"])  # type: ignore[arg-type]
     simulate = context.routing if payload["kind"] == "routing" else context.end_to_end
-    cells: List[dict] = []
+    cells: List[SweepCell] = []
     for name in benchmarks:
         baseline = simulate(name, DesignPoint.BASELINE_GPU)
         for design in payload["designs"]:  # type: ignore[union-attr]
             result = simulate(name, design)
             cells.append(
-                {
-                    "benchmark": name,
-                    "design": str(design),
-                    "time_seconds": result.time_seconds,
-                    "energy_joules": result.energy_joules,
-                    "baseline_time_seconds": baseline.time_seconds,
-                    "baseline_energy_joules": baseline.energy_joules,
-                }
+                SweepCell(
+                    name,
+                    str(design),
+                    result.time_seconds,
+                    result.energy_joules,
+                    baseline.time_seconds,
+                    baseline.energy_joules,
+                )
             )
     if cache is not None:
         cache.flush()

@@ -307,6 +307,37 @@ class SweepSpec:
         return f"{self.name}: {axes} = {self.grid_size()} points, {self.kind} metric"
 
 
+@dataclass(frozen=True)
+class SweepCell:
+    """One ``(grid point, benchmark, design)`` measurement.
+
+    Every sweep backend builds its cells once, as this type, and the runner
+    keeps them as they are; only the work queue lowers them to dictionaries
+    for its done-files.
+    """
+
+    benchmark: str
+    design: str
+    time_seconds: float
+    energy_joules: float
+    baseline_time_seconds: float
+    baseline_energy_joules: float
+
+    @property
+    def speedup(self) -> float:
+        """Speedup of the design over the GPU baseline."""
+        if self.time_seconds <= 0:
+            return float("inf")
+        return self.baseline_time_seconds / self.time_seconds
+
+    @property
+    def energy_saving(self) -> float:
+        """Fractional energy saving of the design over the GPU baseline."""
+        if self.baseline_energy_joules <= 0:
+            return 0.0
+        return 1.0 - self.energy_joules / self.baseline_energy_joules
+
+
 def _axis_from(value: object) -> SweepAxis:
     """Coerce one ``axes`` entry (mapping or pair) to a :class:`SweepAxis`."""
     if isinstance(value, SweepAxis):

@@ -65,7 +65,7 @@ from repro.hmc.pe import (
     PEDatapath,
     PEOperation,
 )
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepCell, SweepSpec
 
 #: The axis broadcast as a numpy array; every other axis defines planes.
 FREQUENCY_AXIS = "hmc.pe_frequency_mhz"
@@ -596,7 +596,8 @@ def evaluate_grid(
 
     Returns:
         One outcome dict per assignment, shaped exactly like the scalar
-        executor's: ``{"cells", "simulations", "disk_hits", "disk_misses"}``.
+        executor's: ``{"cells", "simulations", "disk_hits", "disk_misses"}``
+        with ``cells`` a list of :class:`~repro.sweep.spec.SweepCell`.
     """
     base = base if base is not None else Scenario.default()
     if verify not in VERIFY_MODES:
@@ -709,21 +710,21 @@ def _evaluate_plane(
         # every cell is fresh, simulations count the whole point.
         point_simulations = len(names) * len(cell_designs)
         for i in range(count):
-            cells: List[dict] = []
+            cells: List[SweepCell] = []
             for name in names:
                 baseline_values, design_values = per_bench[name]
                 baseline_time = baseline_values.times[i]
                 baseline_energy = baseline_values.energies[i]
                 for design_str, _, values in design_values:
                     cells.append(
-                        {
-                            "benchmark": name,
-                            "design": design_str,
-                            "time_seconds": values.times[i],
-                            "energy_joules": values.energies[i],
-                            "baseline_time_seconds": baseline_time,
-                            "baseline_energy_joules": baseline_energy,
-                        }
+                        SweepCell(
+                            name,
+                            design_str,
+                            values.times[i],
+                            values.energies[i],
+                            baseline_time,
+                            baseline_energy,
+                        )
                     )
             outcomes[positions[i]] = {
                 "cells": cells,
@@ -764,14 +765,14 @@ def _evaluate_plane(
                         computed[(i, name, dkey)] = result
                         puts.append((hashes[i], configs[name], kind, design_str, result))
                     cells.append(
-                        {
-                            "benchmark": name,
-                            "design": design_str,
-                            "time_seconds": time_seconds,
-                            "energy_joules": energy_joules,
-                            "baseline_time_seconds": baseline_time,
-                            "baseline_energy_joules": baseline_energy,
-                        }
+                        SweepCell(
+                            name,
+                            design_str,
+                            time_seconds,
+                            energy_joules,
+                            baseline_time,
+                            baseline_energy,
+                        )
                     )
             outcomes[positions[i]] = {
                 "cells": cells,

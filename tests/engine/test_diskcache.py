@@ -4,6 +4,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.scenario import Scenario
 from repro.core.accelerator import DesignPoint
@@ -12,11 +14,14 @@ from repro.engine.diskcache import (
     CACHE_SCHEMA_VERSION,
     SimulationCache,
     benchmark_hash,
+    canonical_digest,
     decode_result,
     encode_result,
+    entry_digest,
 )
-from repro.workloads.benchmarks import get_benchmark
+from repro.workloads.benchmarks import BENCHMARKS, get_benchmark
 from repro.workloads.catalog import WorkloadSpec
+from repro.workloads.parallelism import Dimension
 
 
 @pytest.fixture
@@ -92,6 +97,81 @@ def test_benchmark_hash_distinguishes_configs(workload):
     other = get_benchmark("Caps-SV1")
     assert benchmark_hash(workload) != benchmark_hash(other)
     assert benchmark_hash(workload) == benchmark_hash(get_benchmark("Caps-MN1"))
+
+
+# ------------------------------------------------------------- entry digest
+
+_hashes = st.text(alphabet="0123456789abcdef", min_size=64, max_size=64) | st.text()
+_designs = (
+    st.sampled_from(list(DesignPoint))
+    | st.sampled_from(['quote"d', "back\\slash", "caf\u00e9-\u03c0", "\u8bbe\u8ba1", "tab\tnew\nline"])
+    | st.text()
+)
+_frequencies = (
+    st.none()
+    | st.integers()
+    | st.sampled_from([0.1, 1e22, -0.0, 312.5])
+    | st.floats()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scenario_hash=_hashes,
+    schema=st.integers(min_value=0, max_value=10**6),
+    workload=st.sampled_from(sorted(BENCHMARKS.values(), key=lambda config: config.name)),
+    kind=st.sampled_from(["routing", "end_to_end"]),
+    design=_designs,
+    pe_frequency_mhz=_frequencies,
+    force_dimension=st.none() | st.sampled_from(list(Dimension)),
+)
+def test_entry_digest_equals_the_canonical_digest(
+    scenario_hash, schema, workload, kind, design, pe_frequency_mhz, force_dimension
+):
+    key = SimulationCache("unused", version=schema).entry_key(
+        scenario_hash, workload, kind, design, pe_frequency_mhz, force_dimension
+    )
+    assert entry_digest(key) == canonical_digest(key)
+
+
+def test_shards_keyed_by_the_canonical_digest_read_back_as_hits(tmp_path, scenario):
+    # Shards published before entry_digest existed keyed every entry by
+    # canonical_digest(entry_key(...)); they must stay all hits.
+    requests = [
+        ("routing", DesignPoint.PIM_CAPSNET, None, None),
+        ("routing", DesignPoint.PIM_INTER, 625.0, Dimension.LOW),
+        ("end_to_end", DesignPoint.RMAS_PIM, None, None),
+        ("end_to_end", DesignPoint.BASELINE_GPU, 1250, Dimension.BATCH),
+    ]
+    cold = SimulationContext(max_workers=1, scenario=scenario)
+    writer = SimulationCache(tmp_path)
+    workload = get_benchmark("Caps-MN1")
+    entries = {}
+    expected = []
+    for kind, design, pe, dim in requests:
+        simulate = cold.routing if kind == "routing" else cold.end_to_end
+        result = simulate("Caps-MN1", design, pe_frequency_mhz=pe, force_dimension=dim)
+        key = writer.entry_key(scenario, workload, kind, design, pe, dim)
+        entries[canonical_digest(key)] = {"key": key, "result": encode_result(result)}
+        expected.append(result)
+    scenario_hash = scenario.hardware_hash()
+    path = writer._shard_path(scenario_hash)
+    path.parent.mkdir(parents=True)
+    path.write_text(
+        json.dumps(
+            {"schema": CACHE_SCHEMA_VERSION, "scenario": scenario_hash, "entries": entries}
+        ),
+        encoding="utf-8",
+    )
+
+    warm = SimulationContext(
+        max_workers=1, scenario=scenario, disk_cache=SimulationCache(tmp_path)
+    )
+    for (kind, design, pe, dim), want in zip(requests, expected):
+        simulate = warm.routing if kind == "routing" else warm.end_to_end
+        assert simulate("Caps-MN1", design, pe_frequency_mhz=pe, force_dimension=dim) == want
+    assert warm.simulations_executed == 0
+    assert warm.disk_stats.hits == len(requests) and warm.disk_stats.misses == 0
 
 
 # ----------------------------------------------------------------- get/put

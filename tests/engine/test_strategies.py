@@ -1,5 +1,8 @@
 """Tests for the design-point strategy registry."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.accelerator import DesignPoint, PIMCapsNet
@@ -50,8 +53,7 @@ def custom_strategy():
 
         def simulate_routing(self, model, design=None):
             result = routing_on_hmc(model, design or self.key, custom_mapping=False)
-            result.time_seconds *= 2.0
-            return result
+            return dataclasses.replace(result, time_seconds=2.0 * result.time_seconds)
 
         def simulate_end_to_end(self, model, design=None):
             delegate = get_strategy(DesignPoint.PIM_CAPSNET)
@@ -108,15 +110,42 @@ def test_facade_memoizes_simulations():
     assert third.time_seconds == pytest.approx(first.time_seconds)
 
 
-def test_cached_results_are_private_copies():
-    # The pre-engine code returned fresh objects per call; callers mutating a
-    # result in place must not corrupt what other consumers read.
+def test_cached_results_are_immutable():
+    # The memo layers hand every caller the same instance, so a result must
+    # refuse in-place changes rather than leak them to other consumers.
     model = PIMCapsNet("Caps-MN1")
     first = model.simulate_routing(DesignPoint.PIM_CAPSNET)
     original_time = first.time_seconds
-    first.time_seconds *= 100.0
-    first.time_components["execution"] = -1.0
+    original_execution = first.time_components["execution"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.time_seconds *= 100.0
+    with pytest.raises(TypeError):
+        first.time_components["execution"] = -1.0
+    with pytest.raises(TypeError):
+        first.energy_components["dram"] = -1.0
+    end_to_end = model.simulate_end_to_end(DesignPoint.PIM_CAPSNET)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        end_to_end.timing.num_batches = 1
     second = model.simulate_routing(DesignPoint.PIM_CAPSNET)
-    assert second is not first
-    assert second.time_seconds == pytest.approx(original_time)
-    assert second.time_components["execution"] != -1.0
+    assert second == first
+    assert second.time_seconds == original_time
+    assert second.time_components["execution"] == original_execution
+
+
+def test_results_copy_their_component_breakdowns():
+    components = {"execution": 1.0}
+    result = dataclasses.replace(
+        PIMCapsNet("Caps-MN1").simulate_routing(DesignPoint.PIM_CAPSNET),
+        time_components=components,
+    )
+    components["execution"] = 2.0
+    assert result.time_components == {"execution": 1.0}
+
+
+def test_results_pickle_round_trip():
+    model = PIMCapsNet("Caps-MN1")
+    for result in (
+        model.simulate_routing(DesignPoint.PIM_CAPSNET),
+        model.simulate_end_to_end(DesignPoint.PIM_CAPSNET),
+    ):
+        assert pickle.loads(pickle.dumps(result)) == result

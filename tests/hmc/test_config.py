@@ -65,3 +65,16 @@ def test_invalid_geometry_rejected():
 def test_invalid_bandwidth_rejected():
     with pytest.raises(ValueError):
         HMCConfig(internal_bandwidth_gbs=0)
+
+
+@pytest.mark.parametrize(
+    "field", ["capacity_gb", "external_bandwidth_gbs", "internal_bandwidth_gbs", "pe_frequency_mhz"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_values_rejected(field, value):
+    # NaN passes every ``<= 0`` check, so finiteness is checked on its own.
+    with pytest.raises(ValueError, match=field):
+        HMCConfig(**{field: value})
+    if field == "pe_frequency_mhz":
+        with pytest.raises(ValueError, match=field):
+            HMCConfig().with_pe_frequency(value)

@@ -178,6 +178,16 @@ def test_invalid_override_is_a_structured_400(client):
     assert _error_code(payload) == "invalid_override"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_override_is_a_structured_400(client, value):
+    status, payload = client.post(
+        "/v1/run", {"set": [f"hmc.pe_frequency_mhz={value}"]}
+    )
+    assert status == 400
+    assert _error_code(payload) == "invalid_override"
+    assert "hmc.pe_frequency_mhz" in payload["error"]["message"]
+
+
 def test_non_object_body_is_a_structured_400(client):
     status, payload = client.post("/v1/run", b"[1, 2, 3]")
     assert status == 400

@@ -177,6 +177,12 @@ def test_malformed_set_rejected():
         main(["evaluate", "--set", "hmc.pe_frequency_mhz"])
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_set_value_rejected(value):
+    with pytest.raises(SystemExit, match="hmc.pe_frequency_mhz.*finite"):
+        main(["evaluate", "--set", f"hmc.pe_frequency_mhz={value}"])
+
+
 def test_compare_base_vs_set_variant(capsys):
     assert (
         main(
